@@ -38,6 +38,9 @@ go test ./internal/core/ -run "$HUNT_EQUIVALENCE_RUN" -count=1
 # the committed downlink golden traces must replay byte-identically at
 # every polling cadence (DESIGN.md §15).
 go test ./internal/link/ ./internal/reliable/ -run "$DUPLEX_EQUIVALENCE_RUN" -count=1
+# SimLink behaviour golden: ARQ sessions over the simulated link must
+# reproduce the committed fixture byte for byte (DESIGN.md §15.3).
+go test ./internal/reliable/ -run "$SIMLINK_EQUIVALENCE_RUN" -count=1
 # Library code reports errors, it does not panic: the only panic( calls
 # allowed outside tests are the vet suite's own fixtures/doc strings.
 panics="$(grep -rn 'panic(' --include='*.go' cmd internal examples *.go | grep -v _test.go | grep -v '^internal/vet/' || true)"
