@@ -88,11 +88,31 @@ func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) {
 	}, nil
 }
 
+// Fate is the injector's decision for one frame, drawn before its
+// waveform exists: lost outright, or delivered — possibly jammed by a
+// burst and/or hit by a drift ramp.
+type Fate struct {
+	Dropped bool
+	Jammed  bool
+	Drifted bool
+}
+
+// Clean reports whether the frame reaches the receiver untouched.
+func (f Fate) Clean() bool { return !f.Dropped && !f.Jammed && !f.Drifted }
+
 // Apply passes one frame capture through the profile, mutating it in
 // place. ok=false means the frame was lost outright (nothing reaches
 // the receiver); otherwise the returned slice is the (possibly jammed
 // or drifted) capture.
 func (fi *FaultInjector) Apply(capture []complex128) (out []complex128, ok bool) {
+	return fi.Impair(capture, fi.Decide())
+}
+
+// Decide draws the next frame's fate and counts it in Stats, touching
+// no samples: a caller can skip synthesizing a frame the profile drops.
+// Each decided fate that is not dropped must be passed to Impair, in
+// order, before the next Decide — jamming draws its noise there.
+func (fi *FaultInjector) Decide() Fate {
 	i := fi.frame
 	fi.frame++
 	// i.i.d. loss draws one uniform per frame regardless of outcome, so
@@ -100,19 +120,35 @@ func (fi *FaultInjector) Apply(capture []complex128) (out []complex128, ok bool)
 	lossDraw := fi.rng.Float64()
 	if fi.cfg.FrameLoss > 0 && lossDraw < fi.cfg.FrameLoss {
 		fi.lost++
-		return nil, false
+		return Fate{Dropped: true}
 	}
+	var f Fate
 	if fi.cfg.BurstEvery > 0 && fi.cfg.BurstLen > 0 && i%fi.cfg.BurstEvery < fi.cfg.BurstLen {
 		if fi.cfg.BurstSNRdB == 0 {
 			fi.lost++
-			return nil, false
+			return Fate{Dropped: true}
 		}
-		fi.jam(capture)
+		f.Jammed = true
 		fi.jammed++
 	}
 	if fi.cfg.DriftEvery > 0 && fi.cfg.DriftRate != 0 && i%fi.cfg.DriftEvery == fi.cfg.DriftEvery-1 {
-		fi.driftRamp(capture)
+		f.Drifted = true
 		fi.drifts++
+	}
+	return f
+}
+
+// Impair applies a decided fate to the frame's capture in place, with
+// Apply's result contract: a dropped fate yields (nil, false).
+func (fi *FaultInjector) Impair(capture []complex128, f Fate) (out []complex128, ok bool) {
+	if f.Dropped {
+		return nil, false
+	}
+	if f.Jammed {
+		fi.jam(capture)
+	}
+	if f.Drifted {
+		fi.driftRamp(capture)
 	}
 	return capture, true
 }

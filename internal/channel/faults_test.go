@@ -166,3 +166,80 @@ func TestFaultInjectorDriftRamp(t *testing.T) {
 		t.Fatalf("late sample unrotated (|Δ|=%g): drift ramp had no effect", d)
 	}
 }
+
+// referenceApply is the historical single-step Apply, kept verbatim as
+// the pin for the Decide/Impair split: same draws, same order, same
+// counters.
+func referenceApply(fi *FaultInjector, capture []complex128) ([]complex128, bool) {
+	i := fi.frame
+	fi.frame++
+	lossDraw := fi.rng.Float64()
+	if fi.cfg.FrameLoss > 0 && lossDraw < fi.cfg.FrameLoss {
+		fi.lost++
+		return nil, false
+	}
+	if fi.cfg.BurstEvery > 0 && fi.cfg.BurstLen > 0 && i%fi.cfg.BurstEvery < fi.cfg.BurstLen {
+		if fi.cfg.BurstSNRdB == 0 {
+			fi.lost++
+			return nil, false
+		}
+		fi.jam(capture)
+		fi.jammed++
+	}
+	if fi.cfg.DriftEvery > 0 && fi.cfg.DriftRate != 0 && i%fi.cfg.DriftEvery == fi.cfg.DriftEvery-1 {
+		fi.driftRamp(capture)
+		fi.drifts++
+	}
+	return capture, true
+}
+
+// Decide then Impair reproduces the historical Apply draw for draw:
+// bitwise-identical captures, identical Stats and identical later
+// DropAck draws — on the harsh profile (loss, jam, drift) and on a
+// 0 dB burst profile whose bursts drop frames outright.
+func TestFaultDecideImpairMatchesApply(t *testing.T) {
+	profiles := map[string]FaultConfig{
+		"harsh": {Seed: 3, FrameLoss: 0.15, BurstEvery: 48, BurstLen: 8, BurstSNRdB: -20,
+			DriftEvery: 16, DriftRate: 4e-7, AckLoss: 0.10},
+		"burst-0dB": {Seed: 9, FrameLoss: 0.05, BurstEvery: 10, BurstLen: 3, AckLoss: 0.2},
+	}
+	for name, cfg := range profiles {
+		ref, split, wrap := mustInjector(t, cfg), mustInjector(t, cfg), mustInjector(t, cfg)
+		var clean int
+		for i := 0; i < 400; i++ {
+			want, okRef := referenceApply(ref, testCapture(300))
+			f := split.Decide()
+			got, okSplit := split.Impair(testCapture(300), f)
+			viaApply, okApply := wrap.Apply(testCapture(300))
+			if okRef != okSplit || okRef != okApply || okSplit == f.Dropped {
+				t.Fatalf("%s frame %d: delivered %v / %v / %v, fate %+v", name, i, okRef, okSplit, okApply, f)
+			}
+			if f.Clean() {
+				clean++
+			}
+			for j := range want {
+				for _, x := range []complex128{got[j], viaApply[j]} {
+					if math.Float64bits(real(x)) != math.Float64bits(real(want[j])) ||
+						math.Float64bits(imag(x)) != math.Float64bits(imag(want[j])) {
+						t.Fatalf("%s frame %d sample %d: capture differs", name, i, j)
+					}
+				}
+			}
+			if i%3 == 0 {
+				a, b, c := ref.DropAck(), split.DropAck(), wrap.DropAck()
+				if a != b || a != c {
+					t.Fatalf("%s frame %d: ack draws diverged", name, i)
+				}
+			}
+		}
+		l0, j0, d0 := ref.Stats()
+		for _, fi := range []*FaultInjector{split, wrap} {
+			if l, j, d := fi.Stats(); l != l0 || j != j0 || d != d0 {
+				t.Fatalf("%s: stats (%d,%d,%d), reference (%d,%d,%d)", name, l, j, d, l0, j0, d0)
+			}
+		}
+		if l0 == 0 || clean == 0 || (name == "harsh" && (j0 == 0 || d0 == 0)) {
+			t.Fatalf("%s exercised too little: lost=%d jammed=%d drifted=%d clean=%d", name, l0, j0, d0, clean)
+		}
+	}
+}

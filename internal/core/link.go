@@ -50,23 +50,38 @@ func (l *Link) Params() Params { return l.params }
 // Decoder returns the link's phase decoder.
 func (l *Link) Decoder() *Decoder { return l.decoder }
 
-// PayloadToSignal wraps SymBee payload bytes in a ZigBee PPDU and
-// modulates it to complex baseband. When the resulting PHR length byte
-// would itself be a SymBee codeword (PSDU length 0x67) the payload is
-// padded by one byte: such a PHR is phase-indistinguishable from a
-// preamble bit and would make the anchor ambiguous. The pad byte is not
-// a codeword, so both the WiFi and ZigBee receivers ignore it.
+// PayloadToSignal wraps SymBee payload bytes in a ZigBee PPDU (see
+// AppendPPDU) and modulates it to complex baseband.
 func (l *Link) PayloadToSignal(payload []byte) ([]complex128, error) {
-	if len(payload)+zigbee.FCSLen == int(Bit0Byte) {
-		padded := make([]byte, len(payload)+1)
-		copy(padded, payload)
-		payload = padded
-	}
-	ppdu, err := zigbee.BuildPPDU(payload)
+	return l.PayloadToSignalInto(nil, payload)
+}
+
+// PayloadToSignalInto is PayloadToSignal writing the waveform into
+// dst's backing array when its capacity suffices; a warm call with a
+// large enough dst allocates nothing.
+func (l *Link) PayloadToSignalInto(dst []complex128, payload []byte) ([]complex128, error) {
+	var buf [zigbee.MaxPPDULen]byte
+	ppdu, err := AppendPPDU(buf[:0], payload)
 	if err != nil {
 		return nil, err
 	}
-	return l.mod.ModulateBytes(ppdu, l.order), nil
+	return l.mod.ModulateBytesInto(dst, ppdu, l.order), nil
+}
+
+// AppendPPDU wraps SymBee payload bytes in a ZigBee PPDU appended to
+// dst. When the resulting PHR length byte would itself be a SymBee
+// codeword (PSDU length 0x67) the payload is padded by one byte: such
+// a PHR is phase-indistinguishable from a preamble bit and would make
+// the anchor ambiguous. The pad byte is not a codeword, so both the
+// WiFi and ZigBee receivers ignore it. The error is the one
+// PayloadToSignal reports, found without modulating anything.
+func AppendPPDU(dst, payload []byte) ([]byte, error) {
+	if len(payload)+zigbee.FCSLen == int(Bit0Byte) {
+		var padded [zigbee.MaxPSDULen]byte
+		n := copy(padded[:], payload)
+		payload = padded[:n+1]
+	}
+	return zigbee.AppendPPDU(dst, payload)
 }
 
 // TransmitBits modulates a raw SymBee bit string (preamble prepended)

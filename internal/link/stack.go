@@ -199,6 +199,16 @@ func (s *Stack) PushIQ(iq []complex128) error {
 	return err
 }
 
+// Phases returns the phases the front-end stage produced on the most
+// recent PushIQ since the last Reset. The slice is the stack's own
+// scratch: read-only, and valid only until the next push or Reset.
+func (s *Stack) Phases() []float64 { return s.scratch }
+
+// ExactPhase reports which kernel the front-end stage computes phases
+// with: math.Atan2 when true (dsp.UseExactPhase), FastAtan2 otherwise.
+// Anything cached from front-end output must be keyed on it.
+func ExactPhase() bool { return dsp.UseExactPhase }
+
 // PushPhases consumes a chunk of already-computed phase values (a
 // phase-kind trace, or an external front-end). Pushing into a flushed
 // stack reports core.ErrFlushed.
@@ -303,6 +313,7 @@ func (s *Stack) Reset() {
 	if s.front != nil {
 		s.front.phaser.Reset()
 	}
+	s.scratch = s.scratch[:0]
 	s.frame.machine.Reset()
 	s.collector.pending = s.collector.pending[:0]
 	s.closed = false

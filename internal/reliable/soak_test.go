@@ -112,6 +112,7 @@ func TestARQBidirectionalSoak(t *testing.T) {
 	}
 	runs := soakRuns()
 	var dropped, collided int
+	var received, memoHits uint64
 	for seed := int64(0); seed < int64(runs); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
@@ -147,7 +148,27 @@ func TestARQBidirectionalSoak(t *testing.T) {
 			}
 			dropped += rs.AcksDropped
 			collided += rs.AckCollisions + rs.ForwardCollisions
+			// Ingest accounting: every capture the PHY actually
+			// demodulates is pushed once through the stack's front end
+			// (one PhaseNanos observation, lag fewer phases than
+			// samples); memo hits add nothing. Captures that reached
+			// the receiver but skipped the PHY are memo hits.
+			snap := m.Snapshot()
+			lost, _, _ := link.FaultStats()
+			got := uint64(link.inj.Frames() - lost)
+			full := snap.PhaseNanos.Count
+			if snap.SamplesIn == 0 || full == 0 || full > got ||
+				snap.SamplesIn != snap.PhasesProduced+uint64(cfg.Params.Lag)*full {
+				t.Fatalf("seed %d: ingest counters inconsistent: samples %d, phases %d, %d demodulated of %d received captures",
+					seed, snap.SamplesIn, snap.PhasesProduced, full, got)
+			}
+			received += got
+			memoHits += got - full
 		})
+	}
+	if received > 0 {
+		t.Logf("clean-capture memo hit ratio %.3f (%d of %d received captures)",
+			float64(memoHits)/float64(received), memoHits, received)
 	}
 	if dropped == 0 {
 		t.Error("10% reverse loss dropped zero ack copies across the sweep")

@@ -306,6 +306,13 @@ func discover(fset *token.FileSet, root, modPath string) (map[string]*pkgSource,
 			name == "testdata" || name == "vendor" || name == "node_modules") {
 			return filepath.SkipDir
 		}
+		// A directory with its own go.mod is a separate module, which
+		// the go tool's ./... never enters either.
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
 		files, err := parseDir(fset, path)
 		if err != nil {
 			return err

@@ -213,3 +213,23 @@ func TestLoadExplicitTestdataDir(t *testing.T) {
 		t.Error("wildcard into testdata matched packages; want no-packages error")
 	}
 }
+
+// TestLoadSkipsNestedModules pins the ./... contract for nested
+// modules: a subdirectory with its own go.mod belongs to another module,
+// so a wildcard walk of the outer module loads none of its packages.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	prog, err := Load("testdata/nestedmod", []string{"./..."})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var paths []string
+	for _, u := range prog.Units {
+		paths = append(paths, u.Path)
+	}
+	if len(paths) != 1 || paths[0] != "nestedmod/outer" {
+		t.Fatalf("loaded %v, want only nestedmod/outer", paths)
+	}
+	if diags := Run(prog, Analyzers()); len(diags) != 0 {
+		t.Fatalf("nested module's findings leaked into the outer walk: %v", diags)
+	}
+}

@@ -18,6 +18,9 @@ const (
 	// FCSLen is the length of the CRC-16 frame check sequence appended
 	// to the MAC payload.
 	FCSLen = 2
+	// MaxPPDULen is the longest PPDU: preamble, SFD, PHR and a
+	// maximum-size PSDU.
+	MaxPPDULen = PreambleLen + 2 + MaxPSDULen
 	// HeaderSymbols is the number of symbols before the PSDU begins:
 	// (4 preamble + 1 SFD + 1 PHR) bytes × 2 symbols.
 	HeaderSymbols = (PreambleLen + 1 + 1) * 2
@@ -52,19 +55,23 @@ func CRC16(data []byte) uint16 {
 // preamble, SFD, PHR (frame length), payload, and the CRC-16 FCS. The
 // payload length including FCS must not exceed MaxPSDULen.
 func BuildPPDU(payload []byte) ([]byte, error) {
+	return AppendPPDU(make([]byte, 0, PreambleLen+2+len(payload)+FCSLen), payload)
+}
+
+// AppendPPDU is BuildPPDU appending the PPDU to dst, so a caller-owned
+// buffer can hold it.
+func AppendPPDU(dst, payload []byte) ([]byte, error) {
 	psduLen := len(payload) + FCSLen
 	if psduLen > MaxPSDULen {
 		return nil, fmt.Errorf("%w: payload %d + FCS exceeds %d", ErrBadLength, len(payload), MaxPSDULen)
 	}
-	ppdu := make([]byte, 0, PreambleLen+2+psduLen)
 	for i := 0; i < PreambleLen; i++ {
-		ppdu = append(ppdu, 0x00)
+		dst = append(dst, 0x00)
 	}
-	ppdu = append(ppdu, SFD, byte(psduLen))
-	ppdu = append(ppdu, payload...)
+	dst = append(dst, SFD, byte(psduLen))
+	dst = append(dst, payload...)
 	fcs := CRC16(payload)
-	ppdu = append(ppdu, byte(fcs&0xFF), byte(fcs>>8))
-	return ppdu, nil
+	return append(dst, byte(fcs&0xFF), byte(fcs>>8)), nil
 }
 
 // ParsePPDU validates a received PPDU byte stream and returns the MAC

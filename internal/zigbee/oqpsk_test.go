@@ -2,6 +2,7 @@ package zigbee
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"symbee/internal/dsp"
@@ -143,5 +144,94 @@ func TestSymbolPairStablePhase40MHz(t *testing.T) {
 	}
 	if math.Abs(math.Abs(ph[start])-4*math.Pi/5) > 1e-6 {
 		t.Errorf("stable phase = %v, want ±4π/5", ph[start])
+	}
+}
+
+// accumulateChips is the historical accumulate-form modulator: every
+// pulse is added onto zeroed rails. The fill-style modulator must match
+// it bit for bit, signed zeros included (phase extraction runs atan2,
+// which tells +0 from −0).
+func accumulateChips(m *Modulator, chips []byte) []complex128 {
+	sps := m.samplesPerSlot
+	out := make([]complex128, (len(chips)+1)*sps)
+	re := make([]float64, len(out))
+	im := make([]float64, len(out))
+	for k, c := range chips {
+		a := 1.0
+		if c == 0 {
+			a = -1.0
+		}
+		rail := re
+		if k%2 == 1 {
+			rail = im
+		}
+		for i, p := range m.pulse {
+			rail[k*sps+i] += a * p
+		}
+	}
+	for i := range out {
+		out[i] = complex(re[i], im[i])
+	}
+	return out
+}
+
+func sameBits(a, b []complex128) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestModulateChipsMatchesAccumulateForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, rate := range []float64{20e6, 40e6} {
+		m, err := NewModulator(rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A dirty reused buffer must not leak stale samples.
+		buf := make([]complex128, 1<<16)
+		for i := range buf {
+			buf[i] = complex(math.NaN(), math.Inf(-1))
+		}
+		for _, n := range []int{0, 1, 2, 3, 31, 32, 33, 1000} {
+			chips := make([]byte, n)
+			for i := range chips {
+				chips[i] = byte(rng.Intn(2))
+			}
+			if i := sameBits(m.ModulateChips(chips), accumulateChips(m, chips)); i >= 0 {
+				t.Fatalf("rate %v, %d chips: ModulateChips differs at sample %d", rate, n, i)
+			}
+		}
+		for _, n := range []int{0, 1, 40} {
+			data := make([]byte, n)
+			rng.Read(data)
+			for _, order := range []SymbolOrder{OrderMSBFirst, OrderLSBFirst} {
+				want := accumulateChips(m, SpreadSymbols(BytesToSymbols(data, order)))
+				if i := sameBits(m.ModulateBytesInto(buf, data, order), want); i >= 0 {
+					t.Fatalf("rate %v, %d bytes, order %v: ModulateBytesInto differs at sample %d", rate, n, order, i)
+				}
+			}
+		}
+	}
+}
+
+func TestModulateIntoZeroAlloc(t *testing.T) {
+	m, err := NewModulator(20e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, MaxPSDULen)
+	buf := m.ModulateBytesInto(nil, data, OrderMSBFirst)
+	if n := testing.AllocsPerRun(20, func() {
+		buf = m.ModulateBytesInto(buf, data, OrderMSBFirst)
+	}); n != 0 {
+		t.Fatalf("warm modulate allocates %v times per call", n)
 	}
 }
