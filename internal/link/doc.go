@@ -8,23 +8,25 @@
 // the batch decoder (internal/core), the streaming worker pool
 // (internal/stream) and the reliable-delivery harness
 // (internal/reliable) each assembled DSP, framing and metrics slightly
-// differently. Those are now three presets of the same Stack:
+// differently. Those are now configurations of the same Stack, with
+// two presets:
 //
 //   - NewBatch: unbounded machine history, whole-capture semantics —
 //     bit-identical to the historical Decoder.DecodeFrame batch entry
-//     (the golden-trace equivalence tests pin this).
+//     (the golden-trace equivalence tests pin this). The ARQ SimLink
+//     builds the same whole-capture stack with the IQ front-end stage
+//     added and resets it per capture.
 //   - NewStreaming: IQ front-end plus bounded history, the per-stream
 //     configuration internal/stream runs one of per pool shard.
-//   - NewReliable: phase-fed bounded-history stack the ARQ SimLink
-//     drives over internal/channel, with the decode-gate pad helper.
 //
 // The Stack's push path keeps the repository's zero-alloc steady-state
 // guarantee (//symbee:hotpath roots, pinned by AllocsPerRun tests), and
 // every stage reports into the one Metrics registry that the streaming
 // pool and the reliability layer previously kept separate copies of.
 //
-// On top of the unified stack, multisender.go provides the shared-medium
-// scenario layer: N seeded ZigBee senders with independent CFO/SFO,
-// timing and gain offsets superposed into a single WiFi receiver
-// capture, with per-sender delivery and collision accounting.
+// On top of the unified stack, RunMedium (medium.go) receives the
+// shared-medium scenario internal/medium synthesizes: N seeded ZigBee
+// senders with independent CFO/SFO, timing and gain offsets superposed
+// into a single WiFi receiver capture, with per-sender delivery and
+// collision accounting.
 package link

@@ -3,11 +3,42 @@ package link
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"symbee/internal/medium"
 )
+
+// equivalenceConfig is the contention scenario the equivalence tests
+// run at every width: crowded schedule, CFO/SFO jitter, gain spread.
+func equivalenceConfig(senders int) medium.Config {
+	cfg := medium.Defaults()
+	cfg.Senders, cfg.FramesPerSender, cfg.Seed = senders, 4, 3
+	cfg.MeanGapAirtimes = 1.5
+	cfg.CFOJitterHz, cfg.SFOppm, cfg.GainSpreadDB = 20e3, 10, 3
+	return cfg
+}
+
+// checkEquivalence runs cfg through RunMedium and the dense reference
+// and requires identical reports. The engine's render-window peaks have
+// no dense counterpart and are cleared before comparing.
+func checkEquivalence(t *testing.T, name string, cfg medium.Config) {
+	t.Helper()
+	want, err := referenceMultiSender(cfg)
+	if err != nil {
+		t.Fatalf("%s reference: %v", name, err)
+	}
+	got, err := RunMedium(cfg, nil)
+	if err != nil {
+		t.Fatalf("%s engine: %v", name, err)
+	}
+	got.PeakOverlap, got.PeakWindowSamples = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: engine report differs from dense reference:\nengine:    %+v\nreference: %+v",
+			name, got, want)
+	}
+}
 
 // TestMediumLinkEquivalence pins the event-driven engine against the
 // dense reference: for every room-scale width the lazily-synthesized
@@ -17,28 +48,7 @@ import (
 // order, so this is exact equality, not statistical agreement).
 func TestMediumLinkEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
-		cfg := MultiSenderConfig{
-			Senders:         n,
-			FramesPerSender: 4,
-			Seed:            3,
-			SNRdB:           20,
-			MeanGapAirtimes: 1.5,
-			CFOJitterHz:     20e3,
-			SFOppm:          10,
-			GainSpreadDB:    3,
-		}
-		want, err := referenceMultiSender(cfg)
-		if err != nil {
-			t.Fatalf("N=%d reference: %v", n, err)
-		}
-		got, err := RunMultiSender(cfg)
-		if err != nil {
-			t.Fatalf("N=%d engine: %v", n, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("N=%d: engine report differs from dense reference:\nengine:    %+v\nreference: %+v",
-				n, got, want)
-		}
+		checkEquivalence(t, fmt.Sprintf("N=%d", n), equivalenceConfig(n))
 	}
 }
 
@@ -46,27 +56,12 @@ func TestMediumLinkEquivalence(t *testing.T) {
 // chunk size (the render window and receive chunk are the same knob in
 // the engine; neither may shift the outcome).
 func TestMediumLinkEquivalenceOddChunk(t *testing.T) {
-	cfg := MultiSenderConfig{
-		Senders:         4,
-		FramesPerSender: 3,
-		Seed:            17,
-		MeanGapAirtimes: 1,
-		CFOJitterHz:     15e3,
-		GainSpreadDB:    2,
-		ChunkSamples:    1009, // prime, never aligned with airtime
-	}
-	want, err := referenceMultiSender(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunMultiSender(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("odd chunk: engine report differs from dense reference:\nengine:    %+v\nreference: %+v",
-			got, want)
-	}
+	cfg := medium.Defaults()
+	cfg.Senders, cfg.FramesPerSender, cfg.Seed = 4, 3, 17
+	cfg.MeanGapAirtimes = 1
+	cfg.CFOJitterHz, cfg.GainSpreadDB = 15e3, 2
+	cfg.ChunkSamples = 1009 // prime, never aligned with airtime
+	checkEquivalence(t, "odd chunk", cfg)
 }
 
 // TestMediumDensityDeterminism pins the density-sweep seed contract at

@@ -4,17 +4,16 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"symbee/internal/medium"
 )
 
 // TestMultiSenderSingle pins the degenerate scenario: one sender on a
 // quiet channel delivers everything and collides with nobody.
 func TestMultiSenderSingle(t *testing.T) {
-	rep, err := RunMultiSender(MultiSenderConfig{
-		Senders:         1,
-		FramesPerSender: 4,
-		Seed:            1,
-		SNRdB:           20,
-	})
+	cfg := medium.Defaults()
+	cfg.Senders, cfg.FramesPerSender, cfg.Seed = 1, 4, 1
+	rep, err := RunMedium(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +36,7 @@ func TestMultiSenderSingle(t *testing.T) {
 // a crowded schedule, and at least the uncollided share of each sender's
 // frames is delivered.
 func TestMultiSenderContention(t *testing.T) {
-	rep, err := RunMultiSender(MultiSenderConfig{
-		Senders:         4,
-		FramesPerSender: 4,
-		Seed:            3,
-		SNRdB:           20,
-		MeanGapAirtimes: 1.5,
-		CFOJitterHz:     20e3,
-		SFOppm:          10,
-		GainSpreadDB:    3,
-		Metrics:         NewMetrics(),
-	})
+	rep, err := RunMedium(equivalenceConfig(4), NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,35 +71,19 @@ func TestMultiSenderContention(t *testing.T) {
 // TestMultiSenderDeterminism pins the seed contract: equal seeds
 // reproduce the scenario bit-for-bit, different seeds differ somewhere.
 func TestMultiSenderDeterminism(t *testing.T) {
-	cfg := MultiSenderConfig{
-		Senders:         2,
-		FramesPerSender: 3,
-		Seed:            17,
-		MeanGapAirtimes: 2,
-		CFOJitterHz:     15e3,
-		GainSpreadDB:    2,
-	}
-	a, err := RunMultiSender(cfg)
+	cfg := medium.Defaults()
+	cfg.Senders, cfg.FramesPerSender, cfg.Seed = 2, 3, 17
+	cfg.MeanGapAirtimes = 2
+	cfg.CFOJitterHz, cfg.GainSpreadDB = 15e3, 2
+	a, err := RunMedium(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMultiSender(cfg)
+	b, err := RunMedium(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different reports:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestMultiSenderValidation pins the config error surface.
-func TestMultiSenderValidation(t *testing.T) {
-	if _, err := RunMultiSender(MultiSenderConfig{}); err == nil {
-		t.Error("zero config accepted")
-	}
-	if _, err := RunMultiSender(MultiSenderConfig{
-		Senders: 1, FramesPerSender: 1, DataBytes: 99,
-	}); err == nil {
-		t.Error("oversized DataBytes accepted")
 	}
 }

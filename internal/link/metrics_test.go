@@ -1,4 +1,4 @@
-package stream
+package link
 
 import (
 	"encoding/json"

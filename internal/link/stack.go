@@ -128,7 +128,7 @@ func New(spec Spec) (*Stack, error) {
 
 var errNilDecoder = errors.New("spec needs a Decoder")
 
-// Preset constructors — the three historical pipeline assemblies as
+// Preset constructors — the batch and streaming pipeline assemblies as
 // configurations of one Stack.
 
 // NewBatch returns the whole-capture preset: phase-fed, unbounded
@@ -142,14 +142,6 @@ func NewBatch(d *core.Decoder, m *Metrics) (*Stack, error) {
 // one of per shard session: IQ front-end plus bounded machine history.
 func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
 	return New(Spec{Decoder: d, FrontEnd: true, Stream: stream, Metrics: m})
-}
-
-// NewReliable returns the ARQ-harness preset: phase-fed (the SimLink
-// front-end runs per capture) with bounded history, so minutes of
-// simulated airtime keep constant memory. Pair with PadHorizon to force
-// the decode gate between captures.
-func NewReliable(d *core.Decoder, m *Metrics) (*Stack, error) {
-	return New(Spec{Decoder: d, Metrics: m})
 }
 
 // SetStream retags the events the stack emits with a new stream
@@ -371,15 +363,6 @@ func (s *Stack) LayerStats() []LayerStats {
 		out[i] = l.Stats()
 	}
 	return out
-}
-
-// PadHorizon returns the number of zero phases that force the frame
-// machine's pending decode gate open after a capture: the largest span
-// a decode attempt may read (core.DecodeGateSpan) plus slackPeriods bit
-// periods of anchor slack. Zero phases fold far below any capture
-// threshold, so the pad cannot cause a false lock.
-func PadHorizon(p core.Params, slackPeriods int) int {
-	return core.DecodeGateSpan(p) + slackPeriods*p.BitPeriod
 }
 
 // DecodeBatch runs one whole phase capture through the batch preset and

@@ -2,11 +2,11 @@
 // ZigBee senders contend for one channel into a single WiFi receiver,
 // with the capture synthesized lazily instead of materialized whole.
 //
-// The legacy scenario (internal/link.RunMultiSender before this
-// package) rendered every sender's every frame up front and superposed
-// them into one slice — O(senders · frames · airtime) memory, which
-// caps populations at a room (N ≤ 8). Here the same scenario is a
-// discrete-event system:
+// A dense implementation renders every sender's every frame up front
+// and superposes them into one slice — O(senders · frames · airtime)
+// memory, which caps populations at a room (N ≤ 8); internal/link keeps
+// one in its tests as the ground truth this engine must reproduce.
+// Here the same scenario is a discrete-event system:
 //
 //   - Each sender is a lazily-advanced schedule source: its private
 //     splitmix stream (internal/splitmix, stream = sender id) draws the

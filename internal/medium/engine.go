@@ -20,8 +20,7 @@ type Sink interface {
 	Flush() error
 }
 
-// SenderStats is one sender's delivery accounting (the same schema the
-// legacy link scenario reported).
+// SenderStats is one sender's delivery accounting.
 type SenderStats struct {
 	// Sender is the sender's identity (0-based).
 	Sender int `json:"sender"`
@@ -219,8 +218,8 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 }
 
 // padSlackPeriods is the decode-gate anchor slack in bit periods
-// appended after the final transmission (the value the legacy scenario
-// passed to link.PadHorizon).
+// appended after the final transmission: how deep into a capture the
+// preamble anchor can sit (ZigBee SHR+PHR plus front-end lag).
 const padSlackPeriods = 12
 
 // admit pops the earliest pending transmission, records it, streams

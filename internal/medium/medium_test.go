@@ -40,8 +40,8 @@ func run(t *testing.T, cfg Config) (*Report, *discardSink) {
 }
 
 // TestConfigValidation pins the structural error surface — and that
-// the legacy zero-value sentinels are gone: 0 dB SNR and a zero mean
-// gap are valid, representable scenarios here.
+// no field is a zero-value sentinel: 0 dB SNR and a zero mean gap are
+// valid, representable scenarios.
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewEngine(Config{}); err == nil {
 		t.Error("zero config accepted")
@@ -98,7 +98,7 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestZeroGapZeroSNR runs the scenario the legacy sentinels could not
+// TestZeroGapZeroSNR runs the scenario zero-value sentinels could not
 // express: senders at 0 dB transmitting back-to-back.
 func TestZeroGapZeroSNR(t *testing.T) {
 	cfg := Defaults()

@@ -8,7 +8,6 @@ import (
 
 	"symbee/internal/channel"
 	"symbee/internal/link"
-	"symbee/internal/stream"
 )
 
 func TestDownlinkSchemeTable(t *testing.T) {
@@ -125,7 +124,7 @@ func TestSimLinkReverseCollisions(t *testing.T) {
 	run := func() (*Report, ReverseStats) {
 		cfg := DefaultSimConfig()
 		cfg.Faults = channel.FaultConfig{Seed: 5}
-		m := stream.NewMetrics()
+		m := link.NewMetrics()
 		cfg.Metrics = m
 		link, err := NewSimLink(cfg)
 		if err != nil {

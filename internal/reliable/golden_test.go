@@ -32,13 +32,12 @@ type simGoldenCase struct {
 	faults    channel.FaultConfig
 	downlink  DownlinkScheme
 	ackRepeat int
-	stream    bool
 	seed      int64
 }
 
 // simGoldenCases covers the bidirectional profile on three seeds, the
 // harsh profile (jam, drift and escalation), a clean ideal-downlink
-// run, both receive-path presets on one profile and a Params40 run.
+// run, the soak profile and a Params40 run.
 func simGoldenCases() []simGoldenCase {
 	p20, p40 := core.Params20(), core.Params40()
 	var cases []simGoldenCase
@@ -55,8 +54,6 @@ func simGoldenCases() []simGoldenCase {
 			downlink: DownlinkIdeal, ackRepeat: 1, seed: 1},
 		simGoldenCase{name: "soak-batch", params: p20, faults: ProfileSoak(5),
 			downlink: DownlinkCMorse, ackRepeat: 1, seed: 5},
-		simGoldenCase{name: "soak-stream", params: p20, faults: ProfileSoak(5),
-			downlink: DownlinkCMorse, ackRepeat: 1, stream: true, seed: 5},
 		simGoldenCase{name: "params40", params: p40, faults: ProfileBidir(1),
 			downlink: DownlinkCMorse, ackRepeat: 2, seed: 1},
 	)
@@ -99,7 +96,6 @@ func runSimGolden(t *testing.T, c simGoldenCase) simGoldenResult {
 	cfg.Faults = c.faults
 	cfg.Downlink = c.downlink
 	cfg.AckRepeat = c.ackRepeat
-	cfg.Stream = c.stream
 	cfg.Metrics = m
 	l, err := NewSimLink(cfg)
 	if err != nil {

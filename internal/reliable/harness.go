@@ -20,9 +20,6 @@ type SimConfig struct {
 	// Faults is the channel fault profile (see ProfileSoak/ProfileHarsh
 	// for ready-made ones; the zero value is a clean channel).
 	Faults channel.FaultConfig
-	// Stream selects the streaming receive path (bounded-history
-	// link.Stack sessions) instead of the whole-capture batch preset.
-	Stream bool
 	// Downlink selects the reverse-channel model carrying acks back.
 	Downlink DownlinkScheme
 	// AckRepeat transmits each committed ack this many times (≥ 1).
@@ -31,8 +28,8 @@ type SimConfig struct {
 	Metrics *link.Metrics
 }
 
-// DefaultSimConfig returns the baseline link: Params20, clean channel,
-// batch receive path and a C-Morse ack downlink without repetition.
+// DefaultSimConfig returns the baseline link: Params20, clean channel
+// and a C-Morse ack downlink without repetition.
 func DefaultSimConfig() SimConfig {
 	return SimConfig{
 		Params:    core.Params20(),
@@ -64,8 +61,8 @@ func (c SimConfig) Validate() error {
 // SimLink is a reliable.Transport that runs entirely over a
 // link.Duplex: every forward frame goes through the real SymBee PHY —
 // modulator, fault-injected channel, WiFi phase-extraction front end
-// and the duplex's uplink decode Stack (batch or streaming preset) —
-// and the ARQ receive side, then the resulting cumulative ack rides
+// and the duplex's uplink decode Stack, reset per capture — and the
+// ARQ receive side, then the resulting cumulative ack rides
 // the duplex's layered downlink stack back. Acks cost reverse airtime,
 // arrive one downlink-latency late, can be lost on the reverse path
 // and can collide with forward frames; the DownlinkIdeal scheme builds
@@ -76,11 +73,9 @@ type SimLink struct {
 	inj     *channel.FaultInjector
 	arq     *Receiver
 	duplex  *link.Duplex
-	batch   bool
-	pad     []float64
 	metrics *link.Metrics
 	sig     []complex128 // forward waveform, reused across sends
-	memo    rxMemo       // batch preset: clean-capture outcomes by payload
+	memo    rxMemo       // clean-capture outcomes by payload
 }
 
 // NewSimLink builds the simulated link.
@@ -105,7 +100,6 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 		dec:     phy.Decoder(),
 		inj:     inj,
 		arq:     NewReceiver(m),
-		batch:   !cfg.Stream,
 		metrics: m,
 	}
 	// The reverse path draws from its own splitmix streams so toggling
@@ -122,27 +116,12 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 	if err != nil {
 		return nil, err
 	}
-	var up *link.Stack
-	if cfg.Stream {
-		up, err = link.NewReliable(l.dec, m)
-		if err != nil {
-			return nil, fmt.Errorf("reliable: %w", err)
-		}
-		// The FrameMachine defers its decode until a max-size frame
-		// could have ended; zero padding after each capture opens that
-		// gate without risking a false lock (zero phases fold to zero,
-		// far below the capture threshold). anchorSlack bounds how deep
-		// into a capture the preamble anchor can sit.
-		l.pad = make([]float64, link.PadHorizon(cfg.Params, anchorSlack))
-	} else {
-		// Batch path: one whole-capture stack with its own IQ front end,
-		// reset per capture — identical semantics to the historical
-		// per-capture Decoder.DecodeFrame, without rebuilding the
-		// machine each time.
-		up, err = link.New(link.Spec{Decoder: l.dec, FrontEnd: true, Batch: true, Metrics: m})
-		if err != nil {
-			return nil, fmt.Errorf("reliable: %w", err)
-		}
+	// One whole-capture stack with its own IQ front end, reset per
+	// capture — identical semantics to the historical per-capture
+	// Decoder.DecodeFrame, without rebuilding the machine each time.
+	up, err := link.New(link.Spec{Decoder: l.dec, FrontEnd: true, Batch: true, Metrics: m})
+	if err != nil {
+		return nil, fmt.Errorf("reliable: %w", err)
 	}
 	l.duplex, err = link.NewDuplex(up, down)
 	if err != nil {
@@ -150,10 +129,6 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 	}
 	return l, nil
 }
-
-// anchorSlack bounds, in bit periods, how deep into a capture the
-// preamble anchor can sit (ZigBee SHR+PHR plus front-end lag).
-const anchorSlack = 12
 
 // Metrics returns the link's registry.
 func (l *SimLink) Metrics() *link.Metrics { return l.metrics }
@@ -238,15 +213,14 @@ func (l *SimLink) Send(now time.Duration, f *core.Frame, coded bool) (time.Durat
 }
 
 // receive turns a surviving frame's payload into the receiver's
-// outcome. In the batch preset the stack is reset per capture, the
-// coded trial is stateless and the decoder is fixed, so a clean
-// capture's outcome depends only on its payload bytes: it is computed
-// once, memoized, and replayed — frame copy and frame-fate counters —
-// on every later clean send of the same payload. Jammed and drifted
-// captures, and every capture of the streaming preset, run the full
-// PHY.
+// outcome. The stack is reset per capture, the coded trial is
+// stateless and the decoder is fixed, so a clean capture's outcome
+// depends only on its payload bytes: it is computed once, memoized,
+// and replayed — frame copy and frame-fate counters — on every later
+// clean send of the same payload. Jammed and drifted captures run the
+// full PHY.
 func (l *SimLink) receive(payload []byte, fate channel.Fate) (*core.Frame, error) {
-	memoize := l.batch && fate.Clean()
+	memoize := fate.Clean()
 	if memoize {
 		if o, ok := l.memo.lookup(payload); ok {
 			l.count(o)
@@ -258,23 +232,20 @@ func (l *SimLink) receive(payload []byte, fate channel.Fate) (*core.Frame, error
 		return nil, err
 	}
 	capture, _ := l.inj.Impair(l.sig, fate)
-	if !l.batch {
-		return l.receiveStream(capture), nil
-	}
-	o := l.receiveBatch(capture)
+	o := l.decodeCapture(capture)
 	if memoize {
 		l.memo.store(payload, o)
 	}
 	return o.frame, nil
 }
 
-// receiveBatch runs one capture through the batch stack and
+// decodeCapture runs one capture through the uplink stack and
 // trial-decodes: plain first, then synchronized Hamming-coded on the
 // phases the stack's front end just produced. The receiver never
 // learns the sender's mode — a coded frame fails the plain version
 // check immediately (its first coded nibble parses as version 4),
 // which is what makes negotiation-free escalation work.
-func (l *SimLink) receiveBatch(capture []complex128) rxOutcome {
+func (l *SimLink) decodeCapture(capture []complex128) rxOutcome {
 	up := l.duplex.Up()
 	up.Reset()
 	up.PushIQ(capture)
@@ -287,23 +258,6 @@ func (l *SimLink) receiveBatch(capture []complex128) rxOutcome {
 		o.frame, _ = DecodeCodedPhases(l.dec, up.Phases())
 	}
 	return o
-}
-
-// receiveStream feeds one capture's phases into the bounded-history
-// streaming stack, padded so the frame machine's decode gate opens,
-// and runs the coded trial only when a locked preamble failed.
-func (l *SimLink) receiveStream(capture []complex128) *core.Frame {
-	phases := l.phy.Phases(capture)
-	up := l.duplex.Up()
-	up.PushPhases(phases)
-	if n := len(l.pad) - len(phases); n > 0 {
-		up.PushPhases(l.pad[:n])
-	}
-	o := tally(up.Drain())
-	if o.frame == nil && o.failed > 0 {
-		o.frame, _ = DecodeCodedPhases(l.dec, phases)
-	}
-	return o.frame
 }
 
 // count replays a memoized receive's frame-fate counters, exactly as
@@ -384,11 +338,10 @@ func cloneFrame(f *core.Frame) *core.Frame {
 // Event aliases the link stack event consumed by the harness.
 type Event = link.Event
 
-// Close flushes the streaming receive path, if any.
-func (l *SimLink) Close() {
-	l.duplex.Up().Flush()
-	l.duplex.Up().Drain()
-}
+// Close releases nothing and may be deferred freely: every capture is
+// flushed and drained as it is received, so the link holds no pending
+// receive state.
+func (l *SimLink) Close() {}
 
 // FrameAirtime is the forward ZigBee airtime of one SymBee frame
 // carrying dataBytes of application data, in the given coding mode.

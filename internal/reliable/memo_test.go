@@ -10,12 +10,11 @@ import (
 	"symbee/internal/link"
 )
 
-func newTestSimLink(t *testing.T, stream bool) (*SimLink, *link.Metrics) {
+func newTestSimLink(t *testing.T) (*SimLink, *link.Metrics) {
 	t.Helper()
 	m := link.NewMetrics()
 	cfg := DefaultSimConfig()
 	cfg.Downlink = DownlinkIdeal
-	cfg.Stream = stream
 	cfg.Metrics = m
 	l, err := NewSimLink(cfg)
 	if err != nil {
@@ -38,7 +37,7 @@ func testPayload(t *testing.T, seq byte) []byte {
 // replays the frame-fate counters: mutating a delivered frame changes
 // no later hit, and SamplesIn counts only the one demodulated capture.
 func TestSimLinkMemoHandsOutCopies(t *testing.T) {
-	l, m := newTestSimLink(t, false)
+	l, m := newTestSimLink(t)
 	payload := testPayload(t, 7)
 	first, err := l.receive(payload, channel.Fate{})
 	if err != nil || first == nil {
@@ -67,10 +66,10 @@ func TestSimLinkMemoHandsOutCopies(t *testing.T) {
 	}
 }
 
-// Jammed and drifted captures, and every streaming-preset capture, run
-// the full PHY and never enter the memo.
-func TestSimLinkMemoOnlyCleanBatch(t *testing.T) {
-	l, _ := newTestSimLink(t, false)
+// Jammed and drifted captures run the full PHY and never enter the
+// memo.
+func TestSimLinkMemoSkipsImpairedCaptures(t *testing.T) {
+	l, _ := newTestSimLink(t)
 	for i, fate := range []channel.Fate{{Jammed: true}, {Drifted: true}, {Jammed: true, Drifted: true}} {
 		if _, err := l.receive(testPayload(t, byte(i)), fate); err != nil {
 			t.Fatal(err)
@@ -78,16 +77,6 @@ func TestSimLinkMemoOnlyCleanBatch(t *testing.T) {
 	}
 	if n := len(l.memo.outcomes); n != 0 {
 		t.Fatalf("impaired captures entered the memo: %d entries", n)
-	}
-	s, m := newTestSimLink(t, true)
-	payload := testPayload(t, 1)
-	for i := 0; i < 2; i++ {
-		if f, err := s.receive(payload, channel.Fate{}); err != nil || f == nil {
-			t.Fatalf("stream receive %d failed: %v", i, err)
-		}
-	}
-	if n := len(s.memo.outcomes); n != 0 || m.FramesDecoded.Load() != 2 {
-		t.Fatalf("stream preset memoized %d entries, decoded %d frames", n, m.FramesDecoded.Load())
 	}
 }
 

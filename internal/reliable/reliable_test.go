@@ -9,7 +9,6 @@ import (
 
 	"symbee/internal/core"
 	"symbee/internal/link"
-	"symbee/internal/stream"
 	"symbee/internal/testutil"
 )
 
@@ -244,7 +243,7 @@ func TestWindowAckArithmetic(t *testing.T) {
 }
 
 func TestReceiverDedup(t *testing.T) {
-	m := stream.NewMetrics()
+	m := link.NewMetrics()
 	r := NewReceiver(m)
 	ack, err := r.Deliver(&core.Frame{Seq: 0, Flags: core.FlagMore, Data: []byte{1}})
 	if err != nil || ack.NextSeq != 1 {
@@ -299,7 +298,7 @@ func TestSessionCleanDelivery(t *testing.T) {
 
 func TestSessionRetransmitOnLoss(t *testing.T) {
 	tx := newScriptTx("l") // first frame lost once, everything after clean
-	m := stream.NewMetrics()
+	m := link.NewMetrics()
 	cfg := cfgSeed(1)
 	cfg.Metrics = m
 	s, err := NewSession(tx, cfg)
@@ -379,7 +378,7 @@ func TestSessionEscalatesAndDeescalates(t *testing.T) {
 	// coded mode; the clean channel afterwards de-escalates after 2
 	// progressing flights.
 	tx := newScriptTx("llll")
-	m := stream.NewMetrics()
+	m := link.NewMetrics()
 	cfg := cfgSeed(1)
 	cfg.Window = 2
 	cfg.EscalateAfter = 2

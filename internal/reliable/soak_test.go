@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"testing"
 
-	"symbee/internal/stream"
+	"symbee/internal/link"
 )
 
 // soakRuns returns how many seeded runs each soak subtest executes.
@@ -35,12 +35,11 @@ func soakMessage(seed int64) []byte {
 // soakRun drives one 4 KiB transfer over the fault-injected PHY with the
 // C-Morse ack downlink and returns the session report; it fails the test
 // unless the message arrives intact.
-func soakRun(t *testing.T, seed int64, streaming bool) *Report {
+func soakRun(t *testing.T, seed int64) *Report {
 	t.Helper()
-	m := stream.NewMetrics()
+	m := link.NewMetrics()
 	cfg := DefaultSimConfig()
 	cfg.Faults = ProfileSoak(seed)
-	cfg.Stream = streaming
 	cfg.Metrics = m
 	link, err := NewSimLink(cfg)
 	if err != nil {
@@ -71,33 +70,26 @@ func soakRun(t *testing.T, seed int64, streaming bool) *Report {
 
 // TestARQSoak is the acceptance soak: under 10% i.i.d. frame loss plus
 // periodic burst interference plus ack loss, every seeded run must
-// deliver the 4 KiB message intact over both receive paths — now with
-// acks riding the modeled C-Morse downlink instead of a free side
-// channel.
+// deliver the 4 KiB message intact, with acks riding the modeled
+// C-Morse downlink instead of a free side channel. The "batch" level
+// names the whole-capture receive path every SimLink frame takes.
 func TestARQSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
 	}
 	runs := soakRuns()
-	for _, path := range []struct {
-		name      string
-		streaming bool
-	}{{"batch", false}, {"stream", true}} {
-		path := path
-		t.Run(path.name, func(t *testing.T) {
-			t.Parallel()
-			for seed := int64(0); seed < int64(runs); seed++ {
-				seed := seed
-				t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-					t.Parallel()
-					rep := soakRun(t, seed, path.streaming)
-					if rep.Retransmits == 0 {
-						t.Errorf("seed %d: 10%% loss produced zero retransmits — faults not applied?", seed)
-					}
-				})
-			}
-		})
-	}
+	t.Run("batch", func(t *testing.T) {
+		for seed := int64(0); seed < int64(runs); seed++ {
+			seed := seed
+			t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+				t.Parallel()
+				rep := soakRun(t, seed)
+				if rep.Retransmits == 0 {
+					t.Errorf("seed %d: 10%% loss produced zero retransmits — faults not applied?", seed)
+				}
+			})
+		}
+	})
 }
 
 // TestARQBidirectionalSoak is the bidirectional acceptance soak: 10%
@@ -116,7 +108,7 @@ func TestARQBidirectionalSoak(t *testing.T) {
 	for seed := int64(0); seed < int64(runs); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			m := stream.NewMetrics()
+			m := link.NewMetrics()
 			cfg := DefaultSimConfig()
 			cfg.Faults = ProfileBidir(seed)
 			cfg.AckRepeat = 2
@@ -180,42 +172,38 @@ func TestARQBidirectionalSoak(t *testing.T) {
 
 // With faults disabled and the ideal downlink the ARQ spends exactly
 // the fire-and-forget airtime: the ≤5% overhead acceptance criterion,
-// met with zero margin, on both receive paths. The ideal downlink is
+// met with zero margin. The ideal downlink is
 // load-bearing here — under a latent downlink go-back-N inherently
 // retransmits delivered-but-unacked frames, which is the honest cost
 // the reliability table in the README now reports.
 func TestARQOverheadCleanChannel(t *testing.T) {
-	for _, streaming := range []bool{false, true} {
-		cfg := DefaultSimConfig()
-		cfg.Downlink = DownlinkIdeal
-		cfg.Stream = streaming
-		link, err := NewSimLink(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg := DefaultConfig()
-		scfg.Seed = 1
-		s, err := NewSession(link, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg := soakMessage(7)
-		rep, err := s.Send(context.Background(), msg)
-		if err != nil {
-			t.Fatalf("stream=%v: %v", streaming, err)
-		}
-		if msgs := link.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
-			t.Fatalf("stream=%v: message not delivered", streaming)
-		}
-		baseline := PlainAirtime(len(msg))
-		if rep.Airtime != baseline {
-			t.Fatalf("stream=%v: airtime %v != baseline %v (overhead criterion)", streaming, rep.Airtime, baseline)
-		}
-		if rep.Retransmits != 0 || rep.Timeouts != 0 {
-			t.Fatalf("stream=%v: clean channel produced %d retransmits %d timeouts",
-				streaming, rep.Retransmits, rep.Timeouts)
-		}
-		link.Close()
+	cfg := DefaultSimConfig()
+	cfg.Downlink = DownlinkIdeal
+	link, err := NewSimLink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	scfg := DefaultConfig()
+	scfg.Seed = 1
+	s, err := NewSession(link, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := soakMessage(7)
+	rep, err := s.Send(context.Background(), msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs := link.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
+		t.Fatal("message not delivered")
+	}
+	baseline := PlainAirtime(len(msg))
+	if rep.Airtime != baseline {
+		t.Fatalf("airtime %v != baseline %v (overhead criterion)", rep.Airtime, baseline)
+	}
+	if rep.Retransmits != 0 || rep.Timeouts != 0 {
+		t.Fatalf("clean channel produced %d retransmits %d timeouts", rep.Retransmits, rep.Timeouts)
 	}
 }
 
@@ -226,7 +214,7 @@ func TestARQHarshProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
 	}
-	m := stream.NewMetrics()
+	m := link.NewMetrics()
 	cfg := DefaultSimConfig()
 	cfg.Faults = ProfileHarsh(3)
 	cfg.Metrics = m

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/wifi"
 )
 
@@ -23,10 +24,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		metrics *Metrics
+		metrics *link.Metrics
 	}{
 		{"uninstrumented", nil},
-		{"instrumented", NewMetrics()},
+		{"instrumented", link.NewMetrics()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := NewReceiver(p, wifi.CanonicalCompensation, tc.metrics)

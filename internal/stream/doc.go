@@ -25,10 +25,10 @@
 //     so the hot path takes no locks. Bounded queues give explicit
 //     backpressure (block) or load-shedding (drop, accounted).
 //
-// Every stage is instrumented by Metrics — stdlib-only atomic counters
-// and fixed-bucket histograms with a JSON snapshot — covering chunks
-// and samples in, phases produced, preamble locks, frames decoded and
-// failed, drops, and per-stage latency.
+// Every stage is instrumented by link.Metrics — stdlib-only atomic
+// counters and fixed-bucket histograms with a JSON snapshot — covering
+// chunks and samples in, phases produced, preamble locks, frames
+// decoded and failed, drops, and per-stage latency.
 //
 // cmd/symbeestream replays trace files (or stdin IQ) through this
 // pipeline at a target sample rate and prints throughput plus the

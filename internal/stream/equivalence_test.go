@@ -7,6 +7,7 @@ import (
 
 	"symbee/internal/channel"
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/testutil"
 	"symbee/internal/wifi"
 )
@@ -218,7 +219,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 // through the Receiver (IQ path included).
 func TestReceiverBoundedOnNoise(t *testing.T) {
 	p := core.Params20()
-	r, err := NewReceiver(p, 0, NewMetrics())
+	r, err := NewReceiver(p, 0, link.NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}

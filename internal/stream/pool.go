@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"symbee/internal/core"
+	"symbee/internal/link"
 )
 
 // Chunk is one unit of ingestion: a slab of IQ samples or phase values
@@ -52,7 +53,7 @@ type Config struct {
 	OnEvent func(Event)
 	// Metrics receives stage instrumentation; nil allocates a private
 	// registry (retrievable via Pool.Metrics).
-	Metrics *Metrics
+	Metrics *link.Metrics
 }
 
 // DefaultConfig returns the baseline pool configuration: the 20 Msps
@@ -82,7 +83,7 @@ type Pool struct {
 	cfg     Config
 	decoder *core.Decoder
 	workers []*worker
-	metrics *Metrics
+	metrics *link.Metrics
 	wg      sync.WaitGroup
 	closed  bool          //symbee:guardedby mu
 	mu      sync.RWMutex  // guards closed: Ingest holds R, Close holds W
@@ -108,7 +109,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		cfg.QueueDepth = 64
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics()
+		cfg.Metrics = link.NewMetrics()
 	}
 	d, err := core.NewDecoder(cfg.Params, cfg.Compensation)
 	if err != nil {
@@ -155,7 +156,7 @@ func NewPoolContext(ctx context.Context, cfg Config) (*Pool, error) {
 }
 
 // Metrics returns the pool's registry.
-func (p *Pool) Metrics() *Metrics { return p.metrics }
+func (p *Pool) Metrics() *link.Metrics { return p.metrics }
 
 // Workers returns the shard count.
 func (p *Pool) Workers() int { return len(p.workers) }

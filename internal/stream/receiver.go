@@ -23,7 +23,7 @@ type Receiver struct {
 
 // NewReceiver builds a single-stream receiver. metrics may be nil for
 // an uninstrumented receiver (the hot path then skips all accounting).
-func NewReceiver(p core.Params, compensation float64, metrics *Metrics) (*Receiver, error) {
+func NewReceiver(p core.Params, compensation float64, metrics *link.Metrics) (*Receiver, error) {
 	d, err := core.NewDecoder(p, compensation)
 	if err != nil {
 		return nil, err
@@ -34,7 +34,7 @@ func NewReceiver(p core.Params, compensation float64, metrics *Metrics) (*Receiv
 // NewReceiverFromDecoder wraps an existing decoder (useful when many
 // receivers share one template/threshold configuration — pool shards
 // do).
-func NewReceiverFromDecoder(d *core.Decoder, metrics *Metrics) (*Receiver, error) {
+func NewReceiverFromDecoder(d *core.Decoder, metrics *link.Metrics) (*Receiver, error) {
 	stack, err := link.NewStreaming(d, 0, metrics)
 	if err != nil {
 		return nil, err

@@ -28,14 +28,14 @@ MEDIUM_EQUIVALENCE_RUN='TestMediumLinkEquivalence'
 DUPLEX_EQUIVALENCE_RUN='TestDownlinkLayeredEquivalence|TestDownlinkGoldenTraces'
 
 # SimLink behaviour golden (DESIGN.md §15.3): sessions over the
-# simulated link — bidirectional, harsh, clean, both receive presets
-# and Params40 — must reproduce the committed reports, ledgers, fault
+# simulated link — bidirectional, harsh, clean, soak and Params40 —
+# must reproduce the committed reports, ledgers, fault
 # counts, delivered-message digests and frame-fate counters byte for
 # byte, so forward-PHY and receive-path optimizations stay invisible.
 SIMLINK_EQUIVALENCE_RUN='TestSimLinkGolden'
 
-# ARQ acceptance soaks (DESIGN.md §14): the 100-seed forward soak on
-# both receive paths plus the bidirectional soak (10% loss forward, 10%
+# ARQ acceptance soaks (DESIGN.md §14): the 100-seed forward soak plus
+# the bidirectional soak (10% loss forward, 10%
 # per-copy ack loss on the modeled downlink). CI and nightly run these
 # with RELIABLE_SOAK_RUNS=100.
 ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/stream"
 )
 
@@ -19,9 +20,9 @@ type (
 	// Chunk is one unit of pool ingestion.
 	Chunk = stream.Chunk
 	// Metrics is the pipeline instrumentation registry.
-	Metrics = stream.Metrics
+	Metrics = link.Metrics
 	// MetricsSnapshot is the JSON-stable point-in-time metrics state.
-	MetricsSnapshot = stream.Snapshot
+	MetricsSnapshot = link.Snapshot
 	// Event is one decode occurrence (lock, frame, error) on one stream.
 	Event = stream.Event
 	// StreamEventKind discriminates Event kinds.
@@ -40,7 +41,7 @@ const (
 
 // NewMetrics returns a zeroed metrics registry, shareable across
 // receivers, pools and reliable sessions.
-var NewMetrics = stream.NewMetrics
+var NewMetrics = link.NewMetrics
 
 // streamOptions is the resolved option state shared by NewReceiver and
 // NewPool.
